@@ -9,9 +9,6 @@ Subcommands map to the paper's experiments::
     repro-2dprof series gapish              # Figure 8 ASCII time series
     repro-2dprof overhead gzipish           # Figure 16 instrumentation costs
     repro-2dprof serve                      # streaming profiling service
-    repro-2dprof fleet serve --shards 4     # sharded fleet + telemetry plane
-    repro-2dprof top --once                 # live fleet dashboard (from TSDB)
-    repro-2dprof logs --event alert_fired   # query structured JSON logs
     repro-2dprof stream gzipish --verify    # replay a run into the service
     repro-2dprof stats                      # metrics snapshot of a live server
     repro-2dprof db ingest gzipish          # profile + store in the warehouse
@@ -272,14 +269,9 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
     from repro.service.server import ProfilingServer, ServiceLimits, serve_until_signalled
 
-    if args.log_json:
-        from repro.obs.logs import configure_logging
-
-        configure_logging(path=args.log_json)
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None:
         checkpoint_dir = default_cache_dir() / "service"
@@ -288,8 +280,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         checkpoint_dir=None if checkpoint_dir == "" else checkpoint_dir,
         warehouse_dir=args.warehouse_dir,
-        shard_name=args.shard_name,
-        reuse_port=args.reuseport,
         limits=ServiceLimits(
             max_sessions=args.max_sessions,
             max_batch_events=args.max_batch_events,
@@ -297,15 +287,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
     _EXTRA_REGISTRIES.append(server.metrics.registry)
-    recorder = None
-    if args.flight_record:
-        from repro.obs.flightrec import FlightRecorder
-
-        recorder = FlightRecorder(
-            args.flight_record,
-            name=args.shard_name or f"pid{os.getpid()}")
-        recorder.arm()
-    asyncio.run(serve_until_signalled(server, flight_recorder=recorder))
+    asyncio.run(serve_until_signalled(server))
     return 0
 
 
@@ -315,7 +297,7 @@ def _format_stat(value) -> str:
     return str(value)
 
 
-def _print_stats_table(stats: dict, indent: str = "") -> None:
+def _print_stats_table(stats: dict) -> None:
     """Render one stats payload: scalars first, then dict-valued rows."""
     stats = dict(stats)
     sessions = stats.pop("sessions", {})
@@ -323,36 +305,28 @@ def _print_stats_table(stats: dict, indent: str = "") -> None:
     scalars = {k: v for k, v in stats.items() if not isinstance(v, dict)}
     width = max((len(k) for k in list(scalars) + list(nested)), default=0)
     for key in sorted(scalars):
-        print(f"{indent}{key:<{width}}  {_format_stat(scalars[key])}")
+        print(f"{key:<{width}}  {_format_stat(scalars[key])}")
     for key in sorted(nested):
         parts = ", ".join(
             f"{k}={_format_stat(v) if v is not None else '-'}"
             for k, v in nested[key].items()
         )
-        print(f"{indent}{key:<{width}}  {parts}")
+        print(f"{key:<{width}}  {parts}")
     if sessions:
-        print(f"{indent}sessions:")
+        print("sessions:")
         for name in sorted(sessions):
-            print(f"{indent}  {name}: {sessions[name]} events")
+            print(f"  {name}: {sessions[name]} events")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.service.client import StreamingClient
 
     with StreamingClient(args.host, args.port) as client:
-        reply = client.control({"op": "stats"})
-    stats = reply["stats"]
-    shards = reply.get("shards")
+        stats = client.stats()
     if args.json:
-        payload = {"stats": stats, "shards": shards} if shards is not None else stats
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     _print_stats_table(stats)
-    if shards:
-        # Fleet view: the summed totals above, one block per shard below.
-        for name in sorted(shards):
-            print(f"shard {name}:")
-            _print_stats_table(shards[name], indent="  ")
     return 0
 
 
@@ -425,259 +399,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             if run_id:
                 print(f"stored in warehouse as {run_id}")
     return code
-
-
-# ----------------------------------------------------------------------
-# Fleet subcommands
-# ----------------------------------------------------------------------
-
-
-def _merge_fleet_traces(trace_dir) -> int:
-    """Fold the shard processes' trace files into this process's tracer."""
-    from pathlib import Path
-
-    merged = 0
-    tracer = get_tracer()
-    for path in sorted(Path(trace_dir).glob("*.trace.json")):
-        try:
-            doc = json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue  # a SIGKILLed shard never wrote its trace
-        events = doc.get("traceEvents", []) if isinstance(doc, dict) else doc
-        # Drop per-file process metadata; export regenerates it per pid.
-        merged += tracer.add_chrome_events(
-            e for e in events if e.get("ph") != "M")
-    return merged
-
-
-def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import contextlib
-    import signal
-    from pathlib import Path
-
-    from repro.fleet import FleetRouter, FleetSupervisor
-
-    fleet_dir = Path(args.fleet_dir) if args.fleet_dir else default_cache_dir() / "fleet"
-    trace_dir = fleet_dir / "traces" if args.trace else None
-    telemetry_dir = None
-    if not args.no_telemetry:
-        telemetry_dir = (Path(args.telemetry_dir) if args.telemetry_dir
-                         else fleet_dir / "telemetry")
-        from repro.obs.logs import configure_logging, process_log_path
-
-        configure_logging(
-            path=process_log_path(telemetry_dir / "logs", "router"))
-    supervisor = FleetSupervisor(
-        args.shards,
-        checkpoint_dir=fleet_dir / "checkpoints",
-        warehouse_dir=args.warehouse_dir,
-        host=args.host,
-        idle_timeout=args.idle_timeout,
-        max_sessions=args.max_sessions,
-        reuse_port=args.reuseport,
-        trace_dir=trace_dir,
-        flight_dir=telemetry_dir / "flight" if telemetry_dir else None,
-        log_dir=telemetry_dir / "logs" if telemetry_dir else None,
-    )
-    shard_map = supervisor.start()
-    telemetry = None
-    if telemetry_dir is not None:
-        from repro.obs.slo import load_rules
-        from repro.obs.telemetry import FleetTelemetry
-
-        telemetry = FleetTelemetry(
-            telemetry_dir,
-            shard_map=shard_map,
-            supervisor=supervisor,
-            rules=load_rules(args.rules) if args.rules else None,
-            scrape_interval=args.scrape_interval,
-            watchdog=not args.no_watchdog,
-            warehouse_dir=args.warehouse_dir,
-            triage_min_interval=args.triage_min_interval,
-        )
-    router = FleetRouter(
-        shard_map,
-        registry_dir=fleet_dir / "registry",
-        host=args.host,
-        port=args.port,
-        supervisor=supervisor,
-        telemetry=telemetry,
-    )
-    if telemetry is not None:
-        telemetry.scraper.local_registries["router"] = router.metrics
-        telemetry.start()
-
-    async def _main() -> None:
-        await router.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError):  # pragma: no cover
-                loop.add_signal_handler(signum, router.shutdown)
-        shards = ", ".join(s.address for s in shard_map.shards)
-        print(f"fleet listening on {router.host}:{router.port} "
-              f"({len(shard_map)} shard(s): {shards})", flush=True)
-        if telemetry is not None:
-            print(f"telemetry in {telemetry_dir} "
-                  f"(scrape every {args.scrape_interval:g}s, "
-                  f"watchdog {'off' if args.no_watchdog else 'on'})",
-                  flush=True)
-        await router.wait_stopped()
-
-    try:
-        asyncio.run(_main())
-    finally:
-        if telemetry is not None:
-            telemetry.stop()
-        supervisor.stop_all()
-        if trace_dir is not None:
-            merged = _merge_fleet_traces(trace_dir)
-            print(f"merged {merged} shard trace event(s)", file=sys.stderr)
-    return 0
-
-
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    from repro.service.client import StreamingClient
-
-    with StreamingClient(args.host, args.port) as client:
-        reply = client.control({"op": "fleet_status"})
-    if args.json:
-        print(json.dumps(reply, indent=2, sort_keys=True))
-        return 0
-    router = reply["router"]
-    print(f"router {router['host']}:{router['port']}")
-    for shard in reply["shards"]:
-        pid = shard.get("pid")
-        state = "up" if shard.get("alive", shard.get("live")) else "DOWN"
-        parts = [f" pid={pid}" if pid is not None else ""]
-        if shard.get("uptime") is not None:
-            parts.append(f" up={shard['uptime']:.0f}s")
-        if shard.get("restarts"):
-            parts.append(f" restarts={shard['restarts']}")
-        if shard.get("scrape_age") is not None:
-            parts.append(f" scraped={shard['scrape_age']:.1f}s ago")
-        if shard.get("scrape_misses"):
-            parts.append(f" misses={shard['scrape_misses']}")
-        print(f"  {shard['name']}: {shard['host']}:{shard['port']} "
-              f"{state}{''.join(parts)}")
-        for alert in shard.get("alerts") or []:
-            print(f"    ALERT {alert['rule']} [{alert['severity']}] "
-                  f"value={alert.get('value')}")
-    fleet_alerts = [a for a in reply.get("alerts") or []
-                    if a.get("source") not in {s["name"] for s in reply["shards"]}]
-    if fleet_alerts:
-        print("alerts:")
-        for alert in fleet_alerts:
-            print(f"  {alert['rule']} [{alert['severity']}] "
-                  f"source={alert.get('source')} value={alert.get('value')}")
-    sessions = reply.get("sessions", {})
-    if sessions:
-        print(f"sessions ({len(sessions)}):")
-        for name in sorted(sessions):
-            entry = sessions[name]
-            print(f"  {name}: shard={entry['shard']} events={entry['events']}")
-    return 0
-
-
-def _cmd_fleet_drain(args: argparse.Namespace) -> int:
-    from repro.service.client import StreamingClient
-
-    with StreamingClient(args.host, args.port) as client:
-        reply = client.control({"op": "fleet_drain", "rolling": args.rolling})
-    if args.rolling:
-        print(f"rolling drain complete: replaced {', '.join(reply['replaced'])}")
-    else:
-        print(f"fleet draining: {reply['stopping']} shard(s) stopping")
-    return 0
-
-
-def _cmd_fleet_loadgen(args: argparse.Namespace) -> int:
-    from repro.fleet import run_loadgen, write_bench
-
-    result = run_loadgen(
-        args.host,
-        args.port,
-        streams=args.streams,
-        connections=args.connections,
-        events=args.events,
-        batch=args.batch,
-        num_sites=args.sites,
-        seed=args.seed,
-        verify_sample=args.verify_sample,
-    )
-    latency = result.frame_latency or {}
-    print(f"loadgen: {result.streams} stream(s) over {result.connections} "
-          f"connection(s), {result.events_total} events in {result.wall_seconds:.2f}s "
-          f"({result.events_per_second:,.0f} events/s)")
-    if latency:
-        print(f"  frame latency: p50={latency['p50'] * 1e3:.2f}ms "
-              f"p90={latency['p90'] * 1e3:.2f}ms p99={latency['p99'] * 1e3:.2f}ms "
-              f"max={latency['max'] * 1e3:.2f}ms")
-    print(f"  retries={result.retries} failed={result.failed_streams} "
-          f"verified={result.verified} verify_failures={result.verify_failures}")
-    if args.bench_out:
-        path = write_bench(result, args.bench_out)
-        print(f"wrote benchmark to {path}")
-    return 1 if result.failed_streams or result.verify_failures else 0
-
-
-# ----------------------------------------------------------------------
-# Telemetry subcommands (top, logs)
-# ----------------------------------------------------------------------
-
-
-def _telemetry_root(arg: str | None) -> "Path":
-    from pathlib import Path
-
-    return Path(arg) if arg else default_cache_dir() / "fleet" / "telemetry"
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import run_top
-
-    tsdb_dir = _telemetry_root(args.telemetry_dir) / "tsdb"
-    if not tsdb_dir.is_dir():
-        print(f"no telemetry TSDB at {tsdb_dir} "
-              f"(is a fleet running with telemetry on?)", file=sys.stderr)
-        return 1
-    return run_top(
-        tsdb_dir,
-        interval=args.interval,
-        window=args.window,
-        once=args.once,
-        as_json=args.json,
-    )
-
-
-def _cmd_logs(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.obs.logs import format_record, parse_since, read_logs
-
-    root = Path(args.path) if args.path else _telemetry_root(None) / "logs"
-    if not root.exists():
-        print(f"no logs at {root}", file=sys.stderr)
-        return 1
-    try:
-        since = parse_since(args.since) if args.since is not None else None
-    except ValueError:
-        print(f"bad --since value {args.since!r} "
-              f"(want epoch seconds or 30s/5m/2h/1d)", file=sys.stderr)
-        return 2
-    records = list(read_logs(
-        root,
-        event=args.event,
-        level=args.level,
-        trace_id=args.trace_id,
-        since=since,
-        grep=args.grep,
-    ))
-    if args.tail is not None:
-        records = records[-args.tail:]
-    for doc in records:
-        print(json.dumps(doc, sort_keys=True) if args.json
-              else format_record(doc))
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -995,93 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "ingested there (default: no warehouse)")
     p.add_argument("--max-sessions", type=int, default=256)
     p.add_argument("--max-batch-events", type=int, default=1 << 20)
-    p.add_argument("--shard-name", default=None,
-                   help="this server's identity within a fleet (stamped on "
-                        "stats/metrics replies)")
-    p.add_argument("--reuseport", action="store_true",
-                   help="bind with SO_REUSEPORT so several shard processes "
-                        "can share one port (kernel-balanced fallback "
-                        "deployment; no session affinity)")
-    p.add_argument("--flight-record", default=None, metavar="DIR",
-                   help="arm a flight recorder: keep a trace ring buffer in "
-                        "memory and dump it to DIR on SIGUSR2")
-    p.add_argument("--log-json", default=None, metavar="FILE",
-                   help="append structured JSON-lines logs to FILE")
     add_obs(p)
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("fleet", help="sharded deployment: router + shard fleet")
-    fleet = p.add_subparsers(dest="fleet_command", required=True)
-
-    p = fleet.add_parser("serve", help="spawn N shards and route to them")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7431,
-                   help="router TCP port (0 = pick a free one; default 7431)")
-    p.add_argument("--shards", type=int, default=4,
-                   help="shard server processes to spawn (default 4)")
-    p.add_argument("--fleet-dir", default=None,
-                   help="fleet state root: checkpoints/, registry/, traces/ "
-                        "(default <cache>/fleet)")
-    p.add_argument("--warehouse-dir", default=None,
-                   help="shared profile warehouse root for all shards")
-    p.add_argument("--idle-timeout", type=float, default=None,
-                   help="per-shard idle-session eviction timeout (seconds)")
-    p.add_argument("--max-sessions", type=int, default=4096,
-                   help="per-shard live session limit (default 4096)")
-    p.add_argument("--reuseport", action="store_true",
-                   help="shards additionally bind one shared SO_REUSEPORT port")
-    p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                   help="telemetry root: tsdb/, flight/, logs/ "
-                        "(default <fleet-dir>/telemetry)")
-    p.add_argument("--scrape-interval", type=float, default=1.0,
-                   help="seconds between metric scrapes (default 1.0)")
-    p.add_argument("--rules", default=None, metavar="FILE",
-                   help="SLO/alert rules JSON (default: built-in fleet rules)")
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="run without the telemetry plane (no scraper, TSDB, "
-                        "alerts, watchdog, or flight recorder)")
-    p.add_argument("--no-watchdog", action="store_true",
-                   help="scrape and alert but never auto-restart shards")
-    p.add_argument("--triage-min-interval", type=float, default=60.0,
-                   help="min seconds between alert-driven triage reports "
-                        "(default 60; needs --warehouse-dir)")
-    add_obs(p)
-    p.set_defaults(func=_cmd_fleet_serve)
-
-    p = fleet.add_parser("status", help="shard table and session placements")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7431)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fleet_status)
-
-    p = fleet.add_parser("drain", help="stop the fleet (or rolling-restart it)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7431)
-    p.add_argument("--rolling", action="store_true",
-                   help="drain-and-replace shards one at a time instead of "
-                        "stopping the fleet")
-    p.set_defaults(func=_cmd_fleet_drain)
-
-    p = fleet.add_parser("loadgen", help="drive concurrent streams and measure")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7431)
-    p.add_argument("--streams", type=int, default=1000,
-                   help="concurrent sessions to drive (default 1000)")
-    p.add_argument("--connections", type=int, default=32,
-                   help="TCP connections the sessions multiplex over (default 32)")
-    p.add_argument("--events", type=int, default=2000,
-                   help="events per stream (default 2000)")
-    p.add_argument("--batch", type=int, default=500,
-                   help="events per wire batch (default 500)")
-    p.add_argument("--sites", type=int, default=64,
-                   help="branch sites per synthetic stream (default 64)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--verify-sample", type=int, default=10,
-                   help="verify this many streams bit-for-bit against an "
-                        "offline profiler (0 = none; default 10)")
-    p.add_argument("--bench-out", default=None, metavar="FILE",
-                   help="write the benchmark JSON (BENCH_7.json) to FILE")
-    p.set_defaults(func=_cmd_fleet_loadgen)
 
     p = sub.add_parser("stats", help="query and pretty-print a live server's metrics")
     p.add_argument("--host", default="127.0.0.1")
@@ -1089,42 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the raw stats-frame JSON instead of a table")
     p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("top", help="live fleet dashboard from the telemetry TSDB")
-    p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                   help="telemetry root holding tsdb/ "
-                        "(default <cache>/fleet/telemetry)")
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between refreshes (default 2.0)")
-    p.add_argument("--window", type=float, default=10.0,
-                   help="rate/quantile lookback window in seconds (default 10)")
-    p.add_argument("--once", action="store_true",
-                   help="render one frame and exit (exit code 2 if any alert "
-                        "is firing)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the overview as JSON instead of the text board")
-    p.set_defaults(func=_cmd_top)
-
-    p = sub.add_parser("logs", help="query structured JSON-lines service logs")
-    p.add_argument("path", nargs="?", default=None,
-                   help="log file or directory of *.jsonl files "
-                        "(default <cache>/fleet/telemetry/logs)")
-    p.add_argument("--event", default=None,
-                   help="keep only records with this structured event name")
-    p.add_argument("--level", default=None,
-                   help="minimum level (DEBUG/INFO/WARNING/ERROR)")
-    p.add_argument("--trace-id", default=None,
-                   help="keep only records from this trace")
-    p.add_argument("--since", default=None, metavar="TS|DUR",
-                   help="keep records at/after this UNIX timestamp, or "
-                        "within a relative duration (30s/5m/2h/1d)")
-    p.add_argument("--grep", default=None,
-                   help="substring filter over the rendered message")
-    p.add_argument("--tail", type=int, default=None, metavar="N",
-                   help="only the last N matching records")
-    p.add_argument("--json", action="store_true",
-                   help="print raw JSON records instead of formatted lines")
-    p.set_defaults(func=_cmd_logs)
 
     p = sub.add_parser("stream", help="replay a workload run into the service, live")
     p.add_argument("workload")

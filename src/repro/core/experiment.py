@@ -32,25 +32,15 @@ from repro.core.groundtruth import (
 )
 from repro.core.metrics import CovAccMetrics, evaluate_detection
 from repro.core.profiler2d import ProfilerConfig, TwoDReport, profile_trace
-from repro.predictors import make_predictor, paper_gshare, paper_perceptron
+from repro.predictors import make_predictor
 from repro.predictors.simulate import SimulationResult, simulate
-from repro.trace.capture import capture_trace, capture_traces
+from repro.trace.capture import capture_trace
 from repro.trace.trace import BranchTrace
 from repro.workloads import get_workload
 
 log = logging.getLogger(__name__)
 
 _A = TypeVar("_A")
-
-#: Named predictor configurations used by the experiments.  "gshare" and
-#: "perceptron" are the paper's exact configurations.
-def _predictor_factory(name: str):
-    if name == "gshare":
-        return paper_gshare()
-    if name == "perceptron":
-        return paper_perceptron()
-    return make_predictor(name)
-
 
 def default_cache_dir() -> Path:
     """Cache root: $REPRO_2DPROF_CACHE or ~/.cache/repro-2dprof."""
@@ -209,69 +199,6 @@ class ExperimentRunner:
         self._traces[key] = trace
         return trace
 
-    def traces(self, workload: str, input_names: list[str]) -> list[BranchTrace]:
-        """Traces for several inputs of one workload, batch-captured together.
-
-        Cached traces load as usual; the remaining inputs execute in one
-        lockstep batch-VM run (:func:`repro.trace.capture.capture_traces`,
-        bit-identical to serial capture) and publish to the same per-trace
-        cache entries :meth:`trace` reads.
-        """
-        names = list(dict.fromkeys(input_names))
-        missing = [n for n in names if (workload, n) not in self._traces]
-        if self.config.use_disk_cache:
-            still_missing = []
-            for name in missing:
-                cached = self._try_load(
-                    self._trace_path(workload, name), BranchTrace.load, "trace"
-                )
-                if cached is not None:
-                    self._count_cache("hits", "trace")
-                    self._traces[(workload, name)] = cached
-                else:
-                    still_missing.append(name)
-            missing = still_missing
-        if missing:
-            wl = get_workload(workload)
-            program = wl.program()
-            sets = [wl.make_input(name, self.config.scale) for name in missing]
-            with get_tracer().span(
-                "experiment.trace_batch", cat="experiment",
-                workload=workload, inputs=len(missing),
-            ):
-                captured = capture_traces(program, sets)
-            for name, trace in zip(missing, captured):
-                self._count_cache("misses", "trace")
-                if self.config.use_disk_cache:
-                    path = self._trace_path(workload, name)
-                    with artifact_lock(path):
-                        trace.save(path)
-                self._traces[(workload, name)] = trace
-        return [self._traces[(workload, name)] for name in input_names]
-
-    def simulations(
-        self, workload: str, input_names: list[str], predictor: str = "gshare"
-    ) -> list[SimulationResult]:
-        """Simulations for several inputs, batch-capturing uncached traces.
-
-        Determines which (input, predictor) simulations still need their
-        trace computed, captures those traces in one lockstep batch-VM
-        run, then replays each through the predictor as usual.
-        Bit-identical to calling :meth:`simulation` in a loop.
-        """
-        need_trace = [
-            name for name in dict.fromkeys(input_names)
-            if (workload, name, predictor) not in self._sims
-            and (workload, name) not in self._traces
-            and not (
-                self.config.use_disk_cache
-                and self._sim_path(workload, name, predictor).exists()
-            )
-        ]
-        if len(need_trace) > 1:
-            self.traces(workload, need_trace)
-        return [self.simulation(workload, name, predictor) for name in input_names]
-
     def simulation(self, workload: str, input_name: str, predictor: str = "gshare") -> SimulationResult:
         """Predictor simulation over one trace (cold-start replay)."""
         key = (workload, input_name, predictor)
@@ -280,7 +207,9 @@ class ExperimentRunner:
 
         def compute() -> SimulationResult:
             trace = self.trace(workload, input_name)
-            return simulate(_predictor_factory(predictor), trace)
+            # Registry defaults are the paper's configurations: 14-bit
+            # gshare and the 457 x 36 perceptron.
+            return simulate(make_predictor(predictor), trace)
 
         sim = self._load_or_compute(
             self._sim_path(workload, input_name, predictor),
@@ -388,11 +317,9 @@ class ExperimentRunner:
         pass e.g. ``["ref", "ext-1", "ext-2"]`` for the Section 5.2 unions.
         """
         others = others or ["ref"]
-        sims = self.simulations(workload, ["train", *others], predictor)
-        train_sim, other_sims = sims[0], sims[1:]
         return ground_truth(
-            train_sim,
-            other_sims,
+            self.simulation(workload, "train", predictor),
+            [self.simulation(workload, name, predictor) for name in others],
             threshold=self.config.dep_threshold,
             min_executions=self.config.min_executions,
         )

@@ -32,8 +32,6 @@ from repro.obs.metrics import (  # noqa: F401
     Histogram,
     Registry,
     get_registry,
-    labeled_snapshot,
-    merge_additive_snapshot,
     set_registry,
 )
 from repro.obs.tracing import Tracer, configure, get_tracer  # noqa: F401
@@ -49,7 +47,5 @@ __all__ = [
     "configure",
     "get_registry",
     "get_tracer",
-    "labeled_snapshot",
-    "merge_additive_snapshot",
     "set_registry",
 ]

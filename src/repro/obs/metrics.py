@@ -53,7 +53,7 @@ def _escape_label_value(value) -> str:
 
     Backslash, double-quote, and newline are the three characters the
     format defines escapes for.  Snapshot keys stay *unescaped* (they
-    round-trip through merge/labeled_snapshot as plain strings); only the
+    round-trip through snapshot/merge as plain strings); only the
     rendered exposition applies this.
     """
     return (str(value)
@@ -404,48 +404,6 @@ def _parse_label_str(label_str: str) -> dict:
         part.split("=", 1) for part in label_str.split(",") if "=" in part
     )
     return {k: _unquote(v) for k, v in labels.items()}
-
-
-def labeled_snapshot(snapshot: dict, labels: dict) -> dict:
-    """Rewrite ``snapshot`` so every series carries ``labels``.
-
-    Each metric's own value moves into a labeled child and existing
-    children gain the extra labels, so merging the result into another
-    registry yields per-origin series (e.g. ``shard="s0"``) instead of
-    blind sums.  The fleet router uses this to keep a per-shard breakdown
-    alongside fleet-wide totals (see :func:`merge_additive_snapshot`).
-    """
-    out: dict[str, dict] = {}
-    for name, entry in snapshot.items():
-        wrapped: dict = {"type": entry.get("type", "counter")}
-        if "buckets" in entry:
-            # Parent histograms must exist with the right buckets so the
-            # labeled children (created through them) inherit the shape.
-            wrapped["buckets"] = entry["buckets"]
-        own = {k: v for k, v in entry.items() if k != "labels"}
-        children = {_label_str(_label_key(labels)): own}
-        for child_key, child_entry in entry.get("labels", {}).items():
-            merged_labels = {**_parse_label_str(child_key), **labels}
-            children[_label_str(_label_key(merged_labels))] = child_entry
-        wrapped["labels"] = children
-        out[name] = wrapped
-    return out
-
-
-def merge_additive_snapshot(registry: Registry, snapshot: dict) -> None:
-    """Merge only the additive series (counters, histograms) of ``snapshot``.
-
-    ``merge_snapshot`` lets gauges *adopt* the incoming value — correct
-    for a worker handing its final state to a parent, wrong for summing
-    live shards (the last shard would win).  This variant drops gauges so
-    repeated merges across shards keep counter/histogram totals exact;
-    per-shard gauge values stay visible via :func:`labeled_snapshot`.
-    """
-    additive = {
-        name: entry for name, entry in snapshot.items()
-        if entry.get("type") != "gauge"
-    }
-    registry.merge_snapshot(additive)
 
 
 #: The process-wide registry used by all instrumentation hooks.

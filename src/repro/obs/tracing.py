@@ -34,11 +34,6 @@ from typing import Iterable
 #: Default ring-buffer capacity (finished spans + instants retained).
 DEFAULT_CAPACITY = 200_000
 
-#: Default 1-in-N sampling for ``hot_path`` spans (event-frame handling);
-#: 1 means record every span.  The flight recorder arms with a higher
-#: rate so continuous tracing stays off the service's throughput path.
-DEFAULT_HOT_SAMPLE = 1
-
 
 def _new_id() -> str:
     """A 64-bit random hex id (trace/span correlation token)."""
@@ -102,10 +97,7 @@ class Span:
         stack.append(self)
         self._ts_ns = time.time_ns()
         self._t0 = time.perf_counter_ns()
-        # CLOCK_THREAD_CPUTIME_ID is not vDSO-accelerated; on virtualized
-        # hosts the syscall can cost hundreds of microseconds, so the
-        # always-on flight recorder arms with ``cpu_time=False``.
-        self._cpu0 = time.thread_time_ns() if self._tracer.cpu_time else None
+        self._cpu0 = time.thread_time_ns()
         return self
 
     def __exit__(self, *exc_info) -> bool:
@@ -114,8 +106,7 @@ class Span:
         if stack and stack[-1] is self:
             stack.pop()
         args = self.args
-        if self._cpu0 is not None:
-            args["cpu_ms"] = round((time.thread_time_ns() - self._cpu0) / 1e6, 3)
+        args["cpu_ms"] = round((time.thread_time_ns() - self._cpu0) / 1e6, 3)
         args["trace_id"] = self.trace_id
         args["span_id"] = self.span_id
         if self.parent is not None:
@@ -133,58 +124,19 @@ class Span:
         return False
 
 
-def current_ids() -> tuple[str | None, str | None]:
-    """``(trace_id, span_id)`` of this thread's innermost open span.
-
-    ``(None, None)`` outside any span or while tracing is disabled —
-    structured log records simply omit the correlation fields then.
-    """
-    stack = getattr(_tls, "stack", None)
-    if not stack:
-        return None, None
-    top = stack[-1]
-    return top.trace_id, top.span_id
-
-
 class Tracer:
     """Process-wide span recorder with a bounded ring buffer."""
 
-    def __init__(self, enabled: bool = False, capacity: int = DEFAULT_CAPACITY,
-                 hot_sample: int = DEFAULT_HOT_SAMPLE, cpu_time: bool = True):
+    def __init__(self, enabled: bool = False, capacity: int = DEFAULT_CAPACITY):
         self.enabled = enabled
-        #: Capture per-span thread CPU time (``cpu_ms``).  The reading is
-        #: two ``thread_time_ns`` syscalls per span — cheap on bare metal,
-        #: but that clock has no vDSO fast path and costs ~200us per call
-        #: on some virtualized hosts, so continuous (flight-recorder)
-        #: tracing turns it off and only explicit ``--trace`` runs pay it.
-        self.cpu_time = bool(cpu_time)
-        #: Record 1-in-N of the spans declared ``hot_path=True``.  Event
-        #: frames dominate span volume by orders of magnitude while being
-        #: near-identical to each other, so sampling them keeps an armed
-        #: flight recorder's ring covering a longer window at a fraction
-        #: of the per-frame cost; open/close/control spans are always
-        #: recorded (structured logs take their trace ids).
-        self.hot_sample = max(1, int(hot_sample))
-        self._hot_seq = 0
         self._events: deque = deque(maxlen=capacity)
 
     # -- recording ------------------------------------------------------
 
-    def span(self, name: str, cat: str = "app", hot_path: bool = False,
-             **attrs) -> "Span | _NoopSpan":
-        """A context-managed span (the shared no-op while disabled).
-
-        ``hot_path=True`` marks a span eligible for 1-in-``hot_sample``
-        sampling; a sampled-out call returns the shared no-op.  The
-        sequence counter races benignly across threads (a lost increment
-        only skews which calls are kept, never corrupts the buffer).
-        """
+    def span(self, name: str, cat: str = "app", **attrs) -> "Span | _NoopSpan":
+        """A context-managed span (the shared no-op while disabled)."""
         if not self.enabled:
             return _NOOP
-        if hot_path and self.hot_sample > 1:
-            self._hot_seq += 1
-            if self._hot_seq % self.hot_sample:
-                return _NOOP
         return Span(self, name, cat, attrs)
 
     def instant(self, name: str, cat: str = "app", **attrs) -> None:
@@ -237,17 +189,11 @@ class Tracer:
 
     # -- lifecycle ------------------------------------------------------
 
-    def configure(self, enabled: bool | None = None, capacity: int | None = None,
-                  hot_sample: int | None = None,
-                  cpu_time: bool | None = None) -> None:
+    def configure(self, enabled: bool | None = None, capacity: int | None = None) -> None:
         if capacity is not None and capacity != self._events.maxlen:
             self._events = deque(self._events, maxlen=capacity)
         if enabled is not None:
             self.enabled = enabled
-        if hot_sample is not None:
-            self.hot_sample = max(1, int(hot_sample))
-        if cpu_time is not None:
-            self.cpu_time = bool(cpu_time)
 
     def clear(self) -> None:
         self._events.clear()
@@ -296,10 +242,7 @@ def get_tracer() -> Tracer:
     return _TRACER
 
 
-def configure(enabled: bool | None = None, capacity: int | None = None,
-              hot_sample: int | None = None,
-              cpu_time: bool | None = None) -> Tracer:
+def configure(enabled: bool | None = None, capacity: int | None = None) -> Tracer:
     """Configure and return the process-wide tracer."""
-    _TRACER.configure(enabled=enabled, capacity=capacity,
-                      hot_sample=hot_sample, cpu_time=cpu_time)
+    _TRACER.configure(enabled=enabled, capacity=capacity)
     return _TRACER

@@ -163,18 +163,6 @@ class StreamingClient:
         """The service's metrics snapshot (the ``/metrics`` equivalent)."""
         return self._checked(self._request(protocol.encode_control({"op": "stats"})))["stats"]
 
-    def metrics(self) -> dict:
-        """The full registry snapshot reply (``snapshot`` + legacy ``stats``)."""
-        return self._checked(self._request(protocol.encode_control({"op": "metrics"})))
-
-    def control(self, payload: dict) -> dict:
-        """Send one raw control op and return its checked reply.
-
-        Used for router-only ops (``fleet_status``, ``fleet_drain``) that
-        a plain shard would reject.
-        """
-        return self._checked(self._request(protocol.encode_control(payload)))
-
 
 @dataclass
 class StreamOutcome:

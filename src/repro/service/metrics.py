@@ -77,13 +77,12 @@ class ServiceMetrics:
         Backward compatibility contract: every key the pre-registry
         implementation emitted keeps its name and meaning
         (``uptime_seconds``, ``active_sessions``, the ``_COUNTERS`` names,
-        ``connections_open``, ``events_per_second``); new telemetry only
-        *adds* keys (``bytes_in``, ``bytes_out``, ``frame_latency``).
+        ``connections_open``, ``events_per_second``); newer metrics only
+        *add* keys (``bytes_in``, ``bytes_out``, ``frame_latency``).
         """
         uptime = self.uptime()
         # Keep the registry gauges current: snapshot() runs on every
-        # stats/metrics op, which includes every telemetry scrape, so
-        # the TSDB sees live values without a separate update path.
+        # stats op, so ``--metrics-json`` exports see live values.
         self.sessions_active.set(active_sessions)
         self.uptime_seconds.set(round(uptime, 3))
         events_total = self.events_total.value

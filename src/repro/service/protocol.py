@@ -104,30 +104,6 @@ def encode_events(session_id: int, sites: np.ndarray, correct: np.ndarray) -> by
     return _HEADER.pack(FRAME_EVENTS, len(body)) + body
 
 
-def events_session_id(payload: bytes) -> int:
-    """The session id of a packed event payload (no full decode)."""
-    if len(payload) < _EVENTS_HEAD.size:
-        raise ProtocolError(f"truncated event frame ({len(payload)} bytes)")
-    session_id, _count = _EVENTS_HEAD.unpack_from(payload)
-    return session_id
-
-
-def reframe_events(payload: bytes, session_id: int) -> bytes:
-    """Rewrite a packed event payload's session id and re-frame it.
-
-    The fleet router speaks its own session-id namespace to clients and
-    translates to each shard's ids on the way through; only the 8-byte
-    head is rewritten — the packed event words are forwarded untouched.
-    """
-    if len(payload) < _EVENTS_HEAD.size:
-        raise ProtocolError(f"truncated event frame ({len(payload)} bytes)")
-    if not 0 <= session_id <= 0xFFFFFFFF:
-        raise ProtocolError(f"session id {session_id} out of u32 range")
-    _old_id, count = _EVENTS_HEAD.unpack_from(payload)
-    body = _EVENTS_HEAD.pack(session_id, count) + payload[_EVENTS_HEAD.size:]
-    return _HEADER.pack(FRAME_EVENTS, len(body)) + body
-
-
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------

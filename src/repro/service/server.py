@@ -41,7 +41,6 @@ from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
 from repro.core.stats import TestThresholds
 from repro.errors import ExperimentError, ProtocolError, ServiceError
 from repro.obs import get_tracer
-from repro.obs.logs import log_event
 from repro.service import checkpoint as ckpt
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
@@ -141,17 +140,9 @@ class ProfilingServer:
         checkpoint_dir: str | Path | None = None,
         limits: ServiceLimits | None = None,
         warehouse_dir: str | Path | None = None,
-        shard_name: str | None = None,
-        reuse_port: bool = False,
     ):
         self.host = host
         self.port = port
-        #: Identity within a fleet; stamped on stats/metrics replies so the
-        #: router can label merged series with ``shard="<name>"``.
-        self.shard_name = shard_name
-        #: SO_REUSEPORT fallback deployment: several shard processes bind
-        #: the same port and the kernel spreads connections across them.
-        self.reuse_port = reuse_port
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.warehouse_dir = Path(warehouse_dir) if warehouse_dir else None
         self._warehouse = None
@@ -176,9 +167,7 @@ class ProfilingServer:
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
             ckpt.sweep_checkpoint_dir(self.checkpoint_dir)
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, **kwargs)
+        self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.limits.idle_timeout:
             self._reaper = asyncio.create_task(self._reap_idle_sessions())
@@ -200,8 +189,7 @@ class ProfilingServer:
         self._draining = True
         written = 0
         started = time.perf_counter()
-        with get_tracer().span("service.drain", cat="service",
-                               shard=self.shard_name) as sp:
+        with get_tracer().span("service.drain", cat="service") as sp:
             if self.checkpoint_dir is not None:
                 for session in list(self._sessions.values()):
                     ckpt.save_checkpoint(
@@ -213,9 +201,8 @@ class ProfilingServer:
             sp.set("sessions", len(self._sessions))
             sp.set("checkpoints", written)
         self.metrics.drain_seconds.observe(time.perf_counter() - started)
-        log_event(log, "server_drained", shard=self.shard_name,
-                  checkpoints=written,
-                  wall_s=round(time.perf_counter() - started, 4))
+        log.info("server drained: checkpoints=%d wall_s=%.4f",
+                 written, time.perf_counter() - started)
         self._shut_down()
         return written
 
@@ -256,9 +243,8 @@ class ProfilingServer:
                         sp.set("checkpointed", True)
                     self._drop_session(session)
                     self.metrics.sessions_evicted.inc()
-                log_event(log, "session_evicted", shard=self.shard_name,
-                          session=session.name, idle_s=timeout,
-                          events=session.events_received)
+                log.info("session %r evicted: idle_s=%g events=%d",
+                         session.name, timeout, session.events_received)
 
     def _drop_session(self, session: _Session) -> None:
         self._sessions.pop(session.name, None)
@@ -301,10 +287,8 @@ class ProfilingServer:
                 frame_type, payload = frame
                 self.metrics.bytes_in.inc(protocol.HEADER_BYTES + len(payload))
                 started = time.perf_counter()
-                with get_tracer().span(
-                        "service.frame", cat="service",
-                        hot_path=frame_type == protocol.FRAME_EVENTS,
-                        frame=chr(frame_type)) as sp:
+                with get_tracer().span("service.frame", cat="service",
+                                       frame=chr(frame_type)) as sp:
                     reply = self._dispatch(frame_type, payload)
                     sp.set("ok", bool(reply.get("ok")))
                 encoded = protocol.encode_control(reply)
@@ -357,7 +341,6 @@ class ProfilingServer:
             "checkpoint": self._op_checkpoint,
             "close": self._op_close,
             "stats": self._op_stats,
-            "metrics": self._op_metrics,
         }
         handler = handlers.get(op)
         if handler is None:
@@ -411,9 +394,8 @@ class ProfilingServer:
                 self.metrics.sessions_resumed.inc()
             else:
                 self.metrics.sessions_opened.inc()
-            log_event(log, "session_opened", shard=self.shard_name,
-                      session=name, resumed=resumed,
-                      events=session.events_received)
+            log.info("session %r opened: resumed=%s events=%d",
+                     name, resumed, session.events_received)
         session.touch()
         return {
             "ok": True,
@@ -468,9 +450,8 @@ class ProfilingServer:
         if self.checkpoint_dir is not None:
             ckpt.delete_checkpoint(self.checkpoint_dir, session.name)
         self.metrics.sessions_closed.inc()
-        log_event(log, "session_closed", shard=self.shard_name,
-                  session=session.name, events=session.events_received,
-                  warehouse_run=warehouse_run)
+        log.info("session %r closed: events=%d warehouse_run=%s",
+                 session.name, session.events_received, warehouse_run)
         return {
             "ok": True,
             "op": "close",
@@ -522,9 +503,7 @@ class ProfilingServer:
 
             if not isinstance(exc, (StoreError, OSError, ValueError)):
                 raise
-            log_event(log, "warehouse_ingest_failed", level=logging.WARNING,
-                      shard=self.shard_name, session=session.name,
-                      error=str(exc))
+            log.warning("session %r warehouse ingest failed: %s", session.name, exc)
             self.metrics.frames_rejected.inc()
             return None
         self.metrics.runs_ingested.inc()
@@ -536,32 +515,11 @@ class ProfilingServer:
 
     def _stats_payload(self) -> dict:
         payload = self.metrics.snapshot(active_sessions=len(self._sessions))
-        if self.shard_name is not None:
-            payload["shard"] = self.shard_name
         payload["sessions"] = {
             session.name: session.events_received
             for session in self._sessions.values()
         }
         return payload
-
-    def _op_metrics(self, message: dict) -> dict:
-        """Full registry snapshot plus the legacy stats payload.
-
-        This is the fleet router's scrape endpoint: the snapshot merges
-        into a fleet-wide registry (with a ``shard`` label per origin, see
-        :func:`repro.obs.metrics.labeled_snapshot`), while ``stats`` keeps
-        the summed legacy view cheap to build.
-        """
-        # _stats_payload() refreshes the sessions_active/uptime gauges, so
-        # it must run before the snapshot is taken or scrapes lag a round.
-        stats = self._stats_payload()
-        return {
-            "ok": True,
-            "op": "metrics",
-            "shard": self.shard_name,
-            "snapshot": self.metrics.registry.snapshot(),
-            "stats": stats,
-        }
 
 
 class ServerThread:
@@ -630,14 +588,8 @@ class ServerThread:
         self._thread.join(timeout=30)
 
 
-async def serve_until_signalled(server: ProfilingServer,
-                                flight_recorder=None) -> None:
-    """Run ``server`` until SIGTERM/SIGINT, then drain gracefully.
-
-    With a :class:`~repro.obs.flightrec.FlightRecorder`, SIGUSR2 dumps
-    the tracer ring buffer — the fleet telemetry plane signals shards
-    this way when an alert fires, collecting per-process traces.
-    """
+async def serve_until_signalled(server: ProfilingServer) -> None:
+    """Run ``server`` until SIGTERM/SIGINT, then drain gracefully."""
     import signal
 
     await server.start()
@@ -649,10 +601,5 @@ async def serve_until_signalled(server: ProfilingServer,
     for signum in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError):  # pragma: no cover
             loop.add_signal_handler(signum, _drain)
-    if flight_recorder is not None and hasattr(signal, "SIGUSR2"):
-        with contextlib.suppress(NotImplementedError):  # pragma: no cover
-            loop.add_signal_handler(
-                signal.SIGUSR2,
-                lambda: flight_recorder.dump(reason="signal", force=True))
     print(f"listening on {server.host}:{server.port}", flush=True)
     await server.wait_stopped()

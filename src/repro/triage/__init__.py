@@ -1,8 +1,7 @@
 """Regression triage: localize *why* a profiling run's verdict changed.
 
-The warehouse can say *that* two runs disagree (``db diff``); the fleet
-can say *when* a metric degraded (SLO alerts).  This package closes the
-gap with the *which*: given a known-good and a bad run of the same
+The warehouse can say *that* two runs disagree (``db diff``).  This
+package adds the *which*: given a known-good and a bad run of the same
 workload/predictor, it
 
 1. bisects the branch-site set to a minimal subset whose substitution
@@ -15,8 +14,7 @@ workload/predictor, it
    (``triage_report.json`` + rendered table).
 
 Entry points: :func:`triage_runs` below (used by ``repro-2dprof db
-bisect`` and by :class:`~repro.obs.telemetry.FleetTelemetry` when an SLO
-alert fires), and :func:`~repro.triage.synth.seeded_run_pair` for
+bisect``), and :func:`~repro.triage.synth.seeded_run_pair` for
 fabricating known regressions.  See ``docs/triage.md``.
 """
 
@@ -59,8 +57,7 @@ def triage_runs(
 
     ``good``/``bad`` are run ids or :class:`StoredRun` handles from
     ``warehouse``.  Returns the finished report; writing it anywhere is
-    the caller's decision (CLI prints and/or saves, the telemetry plane
-    drops it next to the flight recordings).
+    the caller's decision (the CLI prints and/or saves it).
     """
     start = time.perf_counter()
     if not isinstance(good, StoredRun):

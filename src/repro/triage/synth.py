@@ -1,6 +1,6 @@
 """Deterministic synthetic good/bad run pairs for triage testing.
 
-Real regressions need a fleet and a workload; tests, benchmarks, and the
+Real regressions need a workload and a change to it; tests, benchmarks, and the
 walkthrough example need a *seeded* pair of warehouse runs whose
 regression is known by construction.  :func:`synth_pair` fabricates two
 :class:`~repro.core.profiler2d.TwoDReport` objects with everything the
@@ -105,8 +105,7 @@ def seeded_run_pair(
     """Ingest a seeded good/bad pair; returns ``(good_id, bad_id)``.
 
     The good run is stored under input ``base``, the bad one under
-    ``regressed`` — the same (workload, predictor) group, so the
-    telemetry plane's run selection pairs them automatically.
+    ``regressed`` — the same (workload, predictor) group.
     """
     good_report, good_sim, bad_report, bad_sim = synth_pair(
         num_sites=num_sites, n_slices=n_slices, regressed=regressed,

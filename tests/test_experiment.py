@@ -59,6 +59,19 @@ class TestDerivedResults:
         truth = tiny_runner.ground_truth("vortexish")
         assert truth.universe
 
+    def test_ground_truth_captures_named_inputs_serially(self, tmp_path, monkeypatch):
+        # Named inputs (train/ref/ext-k) go through per-artifact serial
+        # capture; the batch VM is reserved for input-population sweeps.
+        from repro.vm.batch import BatchMachine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("named inputs must not reach the batch VM")
+
+        monkeypatch.setattr(BatchMachine, "run_lanes", refuse)
+        runner = ExperimentRunner(SuiteConfig(scale=0.02, cache_dir=tmp_path / "cache"))
+        truth = runner.ground_truth("gapish", others=["ref", "ext-1"])
+        assert truth.universe
+
     def test_evaluate_produces_metrics(self, tiny_runner):
         metrics = tiny_runner.evaluate("vortexish")
         row = metrics.as_row()

