@@ -553,10 +553,6 @@ class ServerThread:
         assert self.server is not None
         return self.server.port
 
-    def is_alive(self) -> bool:
-        """Whether the server's event loop thread is still running."""
-        return self._thread is not None and self._thread.is_alive()
-
     def _run(self) -> None:
         try:
             asyncio.run(self._main())
