@@ -10,7 +10,9 @@ predictions, per-site counts — and the per-kind speedups land in
 snapshots track replay throughput, not just wall time.
 
 The summary bench asserts the acceptance floor: at least three kinds at
->= 2x over the reference loop.  TAGE is allowed to be modest — its
+>= 2x over the reference loop, the perceptron among them, so the kernel
+of the paper's second target predictor cannot slide back unnoticed while
+three others carry the count.  TAGE is allowed to be modest — its
 allocation walk is still sequential; only index/tag/folded-history
 precompute is vectorized.
 
@@ -142,3 +144,4 @@ def bench_replay_speedup_summary(archive, bench_extras):
     assert len(fast) >= 3, (
         f"acceptance floor: >= 3 kinds at >= 2x, got {fast}"
     )
+    assert "perceptron" in fast, f"perceptron below 2x: {bench_extras['speedups']}"

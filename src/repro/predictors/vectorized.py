@@ -36,11 +36,15 @@ it.  That covers most of the zoo:
 * **perceptron** — predictions do feed back into *when* weights train,
   but only within one table entry, and the ±1 history matrix is pure
   trace data (a sliding window over the outcome signs).  Per entry the
-  replay runs a blocked integer matmul: compute ``y`` for a whole block
-  of that entry's branches with the current weight vector, find the first
-  branch that trains (misprediction or ``|y| <= theta``), apply that one
-  integer-exact update, and resume after it.  All arithmetic is int64 —
-  no rounding anywhere — so the weight stream is bit-identical.
+  replay is one loop: a single int64 matmul scores a block of that
+  entry's branches with the current weights, a plain-Python scan of the
+  scores finds the first branch that trains (misprediction or
+  ``|y| <= theta``), and that one update is applied in place.  The block
+  restarts at 8 after a training event and doubles (up to 1024) after a
+  clean one, so numpy does one thing per training event.  The clamp to
+  the weight range runs only when a tracked bound on ``max |w|`` says a
+  ±1 step could leave it.  No rounding anywhere, so the weight stream is
+  bit-identical.
 * **tage** — the tagged-table *contents* evolve with allocation decisions
   that depend on predictions, so the table walk stays a sequential loop;
   but the expensive per-branch folded-history maintenance is pure trace
@@ -583,12 +587,13 @@ def _replay_loop_flat(predictor: LoopPredictor, order: np.ndarray,
     return predictions
 
 
-def _replay_perceptron(predictor: Perceptron, sites: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+def _replay_perceptron(predictor: Perceptron, sites: np.ndarray,
+                       outcomes: np.ndarray) -> tuple[np.ndarray, int]:
     n = int(sites.size)
     h = predictor.history_bits
-    signs = outcomes.astype(np.int32) * 2 - 1
-    # extended[i : i+h] is the (age-ordered) history before branch i.
-    extended = np.concatenate([predictor.history.astype(np.int32), signs])
+    signs = outcomes.astype(np.int8) * 2 - 1
+    # extended[i : i+h] is the (age-ordered) +-1 history before branch i.
+    extended = np.concatenate([predictor.history.astype(np.int8), signs])
     matrix = np.lib.stride_tricks.sliding_window_view(extended, h)[:n]
 
     keys = sites.astype(np.int64) % predictor.num_entries
@@ -597,67 +602,57 @@ def _replay_perceptron(predictor: Perceptron, sites: np.ndarray, outcomes: np.nd
     taken = outcomes.astype(bool)
     theta = predictor.theta
     weight_min, weight_max = predictor.weight_min, predictor.weight_max
+    # A weight with |w| < safe stays in range after a +-1 step.
+    safe = min(weight_max, -weight_min)
     predictions = np.zeros(n, dtype=np.uint8)
+    train_events = 0
     starts, stops = _segments(key_sorted)
     for begin, end in zip(starts.tolist(), stops.tolist()):
         entry = int(key_sorted[begin])
         rows = order[begin:end]
         m = end - begin
         weights = predictor.weights[entry].astype(np.int64)
-        bias, taps = weights[0], weights[1:]
-        entry_taken = taken[rows]
-        # One gather + widening per entry; the loops below slice
-        # contiguous views out of it instead of re-converting.
-        entry_matrix = matrix[rows].astype(np.int64)
-        taken_list = entry_taken.tolist()
-        out = np.empty(m, dtype=np.uint8)
-        bias = int(bias)
+        bound = int(np.abs(weights).max())  # >= max |w| at all times.
+        # Row i is [1, history before branch i]: the bias pairs with the
+        # constant 1, and trains and clamps exactly like a history tap.
+        em = np.empty((m, h + 1), dtype=np.int64)
+        em[:, 0] = 1
+        em[:, 1:] = matrix[rows]
+        taken_list = taken[rows].tolist()
+        out = bytearray()
         pos = 0
-        block = 16
-        streak = 8  # Clean events since the last training event.
+        block = 8
         while pos < m:
-            if streak < 8:
-                # Training-dense regime: a blocked matmul would advance
-                # one event per ~8 numpy calls here, slower than the
-                # plain loop.  Step scalar until the entry quiets down.
-                row = entry_matrix[pos]
-                y = bias + int(row @ taps)
+            # One matmul scores the block with the current weights; they
+            # hold until the first event that trains, found in Python.
+            for y in em[pos:pos + block].dot(weights).tolist():
                 predicted = y >= 0
-                out[pos] = predicted
-                if predicted != taken_list[pos] or abs(y) <= theta:
-                    sign = 1 if taken_list[pos] else -1
-                    bias = min(weight_max, max(weight_min, bias + sign))
-                    np.clip(taps + sign * row, weight_min, weight_max, out=taps)
-                    streak = 0
-                else:
-                    streak += 1
+                out.append(predicted)
+                if predicted != taken_list[pos] or -theta <= y <= theta:
+                    break
                 pos += 1
-                continue
-            take = min(block, m - pos)
-            y = bias + entry_matrix[pos:pos + take] @ taps
-            predicted = y >= 0
-            trains = (predicted != entry_taken[pos:pos + take]) | (np.abs(y) <= theta)
-            hit = int(np.argmax(trains)) if trains.any() else -1
-            if hit < 0:
-                # A clean block means the weights are stable; grow the
-                # window so long quiet stretches cost one matmul each.
-                out[pos:pos + take] = predicted
-                pos += take
+            else:
+                # A clean block: the weights are stable, widen the window.
                 block = min(block * 2, 1024)
                 continue
-            out[pos:pos + hit + 1] = predicted[:hit + 1]
-            sign = 1 if taken_list[pos + hit] else -1
-            bias = min(weight_max, max(weight_min, bias + sign))
-            np.clip(taps + sign * entry_matrix[pos + hit],
-                    weight_min, weight_max, out=taps)
-            pos += hit + 1
-            block = 16
-            streak = hit
-        predictions[rows] = out
-        weights[0] = bias
+            # Branch ``pos`` trains: one in-place +-1 step of every weight.
+            if taken_list[pos]:
+                np.add(weights, em[pos], out=weights)
+            else:
+                np.subtract(weights, em[pos], out=weights)
+            pos += 1
+            train_events += 1
+            if bound < safe:
+                bound += 1
+            else:
+                np.minimum(weights, weight_max, out=weights)
+                np.maximum(weights, weight_min, out=weights)
+                bound = int(np.abs(weights).max())
+            block = 8
+        predictions[rows] = np.frombuffer(out, dtype=np.uint8)
         predictor.weights[entry] = weights
-    predictor.history = extended[n:n + h].astype(np.int32).copy()
-    return predictions
+    predictor.history = extended[n:n + h].astype(np.int32)
+    return predictions, train_events
 
 
 @lru_cache(maxsize=None)
@@ -833,7 +828,9 @@ def _replay_tage(predictor: Tage, sites: np.ndarray, outcomes: np.ndarray):
 
 
 #: Exact-type dispatch: subclasses may change the update rule and always
-#: fall back to the reference loop.
+#: fall back to the reference loop.  A kernel returns the predictions,
+#: ``(predictions, train_events)`` when only some branches train (the
+#: perceptron), or ``None`` to refuse.
 _KERNELS = {
     Bimodal: _replay_bimodal,
     Gshare: _replay_gshare,
@@ -874,6 +871,10 @@ def try_simulate_vectorized(predictor, trace: BranchTrace, reset: bool = True):
         if predictions is None:
             sp.set("fallback", True)
             return None
+        train_events = None
+        if isinstance(predictions, tuple):
+            predictions, train_events = predictions
+            sp.set("train_events", train_events)
         correct = (predictions == trace.outcomes).astype(np.uint8)
         elapsed = time.perf_counter() - start
         events_per_sec = len(trace) / elapsed if elapsed > 0 else 0.0
@@ -882,6 +883,10 @@ def try_simulate_vectorized(predictor, trace: BranchTrace, reset: bool = True):
     registry.counter("replay_events_total",
                      "dynamic branches replayed (vectorized path)").labels(
                          kind=kind).inc(len(trace))
+    if train_events is not None:
+        registry.counter("replay_train_events_total",
+                         "replayed branches that trained the predictor").labels(
+                             kind=kind).inc(train_events)
     registry.histogram("replay_seconds",
                        "wall time of one vectorized replay").labels(
                            kind=kind).observe(elapsed)

@@ -182,6 +182,9 @@ PREDICTOR_CONFIGS = [
     ("loop", lambda: LoopPredictor(num_entries=64, confidence_threshold=3)),
     ("perceptron-tiny", lambda: Perceptron(num_entries=16, history_bits=8)),
     ("perceptron-paper", lambda: Perceptron()),
+    # 3-bit weights saturate on every trace family, so the clamp path runs.
+    ("perceptron-saturating", lambda: Perceptron(num_entries=4, history_bits=8,
+                                                 weight_bits=3)),
     ("tage-tiny", lambda: Tage(num_tables=3, table_bits=4, tag_bits=5,
                                min_history=2, max_history=12)),
     ("tage", lambda: Tage()),
@@ -289,6 +292,54 @@ def test_vectorized_adversarial_streams():
                 ref_pred.state_dict(), vec_pred.state_dict(),
                 f"{name}/{stream_name}",
             )
+
+
+def test_perceptron_saturating_config_reaches_bounds():
+    """The saturating config must keep driving weights to their bounds, or
+    the differential runs above stop covering the clamp."""
+    factory = dict(PREDICTOR_CONFIGS)["perceptron-saturating"]
+    reached = set()
+    for family, make_trace in sorted(TRACE_FAMILIES.items()):
+        predictor = factory()
+        simulate_reference(predictor, make_trace(7))
+        at_bound = {bound for bound in (predictor.weight_min, predictor.weight_max)
+                    if (predictor.weights == bound).any()}
+        assert at_bound, f"{family}: no weight ended at a bound"
+        reached |= at_bound
+    assert reached == {predictor.weight_min, predictor.weight_max}
+
+
+def test_perceptron_train_events_counted():
+    """The replay span and counter report how many branches trained,
+    matching a stepping loop that applies the perceptron's training rule."""
+    from repro.obs import get_registry, get_tracer, set_registry
+    from repro.obs.metrics import Registry
+
+    trace = alias_heavy_trace(31)
+    stepper = Perceptron(num_entries=16, history_bits=8)
+    expected = 0
+    for site, taken in zip(trace.sites.tolist(), trace.outcomes.tolist()):
+        row = stepper.weights[site % stepper.num_entries]
+        y = int(row[0]) + int(np.dot(row[1:], stepper.history))
+        expected += (y >= 0) != taken or abs(y) <= stepper.theta
+        stepper.predict_and_update(site, taken)
+    assert 0 < expected < len(trace)
+
+    tracer = get_tracer()
+    previous_registry = set_registry(Registry())
+    tracer.clear()
+    tracer.configure(enabled=True)
+    try:
+        assert try_simulate_vectorized(
+            Perceptron(num_entries=16, history_bits=8), trace) is not None
+        spans = [e for e in tracer.events() if e["name"] == "replay.vectorized"]
+        counter = get_registry().counter("replay_train_events_total")
+        assert counter.labels(kind="Perceptron").value == expected
+    finally:
+        tracer.configure(enabled=False)
+        tracer.clear()
+        set_registry(previous_registry)
+    assert [span["args"]["train_events"] for span in spans] == [expected]
 
 
 def test_vectorized_empty_trace():

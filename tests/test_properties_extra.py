@@ -284,11 +284,11 @@ def test_segmented_history_matches_per_key_registers(pairs, bits, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=traces_with_sims(max_sites=5, max_len=200))
-def test_perceptron_integer_weight_replay(data):
+@given(data=traces_with_sims(max_sites=5, max_len=200), weight_bits=st.integers(2, 8))
+def test_perceptron_integer_weight_replay(data, weight_bits):
     trace, _sim = data
-    ref_pred = Perceptron(num_entries=3, history_bits=6)
-    vec_pred = Perceptron(num_entries=3, history_bits=6)
+    ref_pred = Perceptron(num_entries=3, history_bits=6, weight_bits=weight_bits)
+    vec_pred = Perceptron(num_entries=3, history_bits=6, weight_bits=weight_bits)
     ref = simulate_reference(ref_pred, trace)
     vec = try_simulate_vectorized(vec_pred, trace)
     assert vec is not None
